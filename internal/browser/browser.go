@@ -25,6 +25,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/faultnet"
 	"repro/internal/htmlparse"
+	"repro/internal/lazyrand"
 	"repro/internal/obs"
 	"repro/internal/payload"
 	"repro/internal/script"
@@ -211,15 +212,15 @@ func New(cfg Config, exts ...Extension) *Browser {
 	if cfg.DialRetryBackoff == 0 {
 		cfg.DialRetryBackoff = 25 * time.Millisecond
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 	b := &Browser{
 		cfg:     cfg,
 		reg:     webrequest.NewRegistry(cfg.Version >= PatchedVersion),
 		state:   payload.NewClientState(rng),
 		rng:     rng,
 		cookies: map[string]string{},
-		backoffRng: rand.New(rand.NewSource(
-			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77))),
+		backoffRng: lazyrand.New(
+			faultnet.DeriveSeed(cfg.FaultSeed, cfg.Seed, 0x7e77)),
 	}
 	if cfg.ReuseScratch {
 		b.scratch = &visitScratch{bus: devtools.NewBus(), seen: map[string]bool{}}

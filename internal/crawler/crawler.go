@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/browser"
+	"repro/internal/lazyrand"
 	"repro/internal/obs"
 )
 
@@ -366,7 +367,7 @@ func visit(ctx context.Context, b *browser.Browser, site Site, url string, cfg C
 func siteRand(seed int64, domain string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s", seed, domain)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return lazyrand.New(int64(h.Sum64()))
 }
 
 // shuffled returns a shuffled copy.

@@ -20,6 +20,7 @@ var deterministicPackages = map[string]bool{
 	"repro/internal/faultnet":    true,
 	"repro/internal/fabric/wire": true,
 	"repro/internal/colstore":    true,
+	"repro/internal/lazyrand":    true,
 }
 
 // seededRandPackages is the weaker tier: packages that measure the

@@ -1,8 +1,14 @@
 package loadgen
 
 import (
+	"bufio"
 	"context"
+	"io"
+	"net"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,12 +151,97 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// holdProxy relays TCP connections to target but holds back every
+// upgraded connection's traffic after its 101 response until shed
+// other handshakes have been refused. Admitted connections stay open,
+// waiting for their first echo, so the overflow dials overlap them.
+func holdProxy(t *testing.T, target string, shed int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, done := make(chan struct{}), make(chan struct{})
+	var refused atomic.Int64
+	var mu sync.Mutex
+	var open []net.Conn
+	var wg sync.WaitGroup
+	t.Cleanup(func() {
+		close(done)
+		ln.Close()
+		mu.Lock()
+		for _, c := range open {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	relay := func(cc, sc net.Conn) {
+		defer wg.Done()
+		defer cc.Close()
+		defer sc.Close()
+		br := bufio.NewReader(sc)
+		status, err := br.ReadString('\n')
+		if err != nil {
+			return
+		}
+		head := status
+		for line := ""; line != "\r\n"; head += line {
+			if line, err = br.ReadString('\n'); err != nil {
+				return
+			}
+		}
+		if _, err := io.WriteString(cc, head); err != nil {
+			return
+		}
+		if !strings.Contains(status, " 101 ") {
+			if refused.Add(1) == int64(shed) {
+				close(release)
+			}
+			return
+		}
+		select {
+		case <-release:
+		case <-done:
+			return
+		}
+		_, _ = io.Copy(cc, br)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			cc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			sc, err := net.Dial("tcp", target)
+			if err != nil {
+				cc.Close()
+				continue
+			}
+			mu.Lock()
+			open = append(open, cc, sc)
+			mu.Unlock()
+			wg.Add(2)
+			go relay(cc, sc)
+			go func() {
+				defer wg.Done()
+				_, _ = io.Copy(sc, cc)
+				sc.Close()
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
 func TestRunAgainstShedServer(t *testing.T) {
 	// More connections than the server admits: the overflow must fail
-	// fast and be reported, not hang the run.
+	// fast and be reported, not hang the run. The proxy keeps the two
+	// admitted connections open until the other four have been shed.
 	s := startEcho(t, webserver.Options{MaxConns: 2})
 	rep, err := Run(context.Background(), Config{
-		Addr:     s.Addr(),
+		Addr:     holdProxy(t, s.Addr(), 4),
 		Conns:    6,
 		Messages: 5,
 		Seed:     3,

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/lazyrand"
 	"repro/internal/urlutil"
 )
 
@@ -135,7 +136,7 @@ func (w *World) rng(parts ...string) *rand.Rand {
 		h.Write([]byte(p))
 		h.Write([]byte{0})
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return lazyrand.New(int64(h.Sum64()))
 }
 
 // stableRng is like rng but identical across crawls (deployments persist
@@ -147,7 +148,7 @@ func (w *World) stableRng(parts ...string) *rand.Rand {
 		h.Write([]byte(p))
 		h.Write([]byte{0})
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return lazyrand.New(int64(h.Sum64()))
 }
 
 // namedPublisherSpec seeds the publishers the paper's tables name as

@@ -30,6 +30,9 @@ import (
 )
 
 // Stats counts server-side activity, useful in tests and examples.
+// WSMessagesSent counts messages the server began to write: it moves
+// before the write, so a client that has read a message always sees it
+// counted, and a write that then fails stays counted.
 type Stats struct {
 	HTTPRequests   atomic.Int64
 	WSHandshakes   atomic.Int64
@@ -333,13 +336,10 @@ func (s *Server) serveSocket(conn *wsproto.Conn, ep *webgen.WSEndpoint, query st
 			op = wsproto.OpBinary
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(idle))
+		s.countSent(len(msg))
 		if err := conn.WriteMessage(op, msg); err != nil {
 			return
 		}
-		s.Stats.WSMessagesSent.Add(1)
-		obs.ServerMessages.Inc()
-		obs.WSMessagesOut.Inc()
-		obs.WSBytesOut.Add(int64(len(msg)))
 	}
 	_ = conn.SetWriteDeadline(time.Time{})
 	for {
@@ -373,14 +373,21 @@ func (s *Server) echoLoop(conn *wsproto.Conn) {
 		// but WriteMessage finishes with the bytes before returning and
 		// the next read starts after it, so echoing needs no copy.
 		_ = conn.SetWriteDeadline(time.Now().Add(idle))
+		s.countSent(len(msg))
 		if err := conn.WriteMessage(op, msg); err != nil {
 			return
 		}
-		s.Stats.WSMessagesSent.Add(1)
-		obs.ServerMessages.Inc()
-		obs.WSMessagesOut.Inc()
-		obs.WSBytesOut.Add(int64(len(msg)))
 	}
+}
+
+// countSent records one outgoing message of n bytes. Callers count
+// before WriteMessage, so the metrics happen-before the message is
+// visible to the client.
+func (s *Server) countSent(n int) {
+	s.Stats.WSMessagesSent.Add(1)
+	obs.ServerMessages.Inc()
+	obs.WSMessagesOut.Inc()
+	obs.WSBytesOut.Add(int64(n))
 }
 
 // Fetch resolves one HTTP request against the World in-process,

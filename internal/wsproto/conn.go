@@ -57,7 +57,7 @@ type Conn struct {
 	conn     net.Conn
 	br       *bufio.Reader
 	isClient bool
-	rng      *rand.Rand
+	rng      *rand.Rand // client masking keys; nil on server conns
 
 	writeMu sync.Mutex
 	closed  bool // guarded by writeMu
@@ -101,12 +101,13 @@ func newConn(c net.Conn, br *bufio.Reader, isClient bool, rng *rand.Rand) *Conn 
 		//lint:allow deadline constructor performs no I/O; Accept/Dial and ReadMessage set deadlines before every read
 		br = bufio.NewReader(c)
 	}
-	if rng == nil {
-		// Every constructor must choose its RNG explicitly: a silent
-		// time-seeded fallback here once made client masking keys — and
-		// therefore recorded frame bytes — nondeterministic. Dialer.Dial
-		// owns the one sanctioned nondeterministic fallback.
-		panic("wsproto: newConn requires an explicit rng")
+	if isClient && rng == nil {
+		// Every client constructor must choose its RNG explicitly: a
+		// silent time-seeded fallback here once made client masking
+		// keys — and therefore recorded frame bytes — nondeterministic.
+		// Dialer.Dial owns the one sanctioned nondeterministic fallback.
+		// Server conns never mask (RFC 6455 §5.1) and take no RNG.
+		panic("wsproto: client newConn requires an explicit rng")
 	}
 	return &Conn{
 		conn:       c,

@@ -171,6 +171,31 @@ func TestConnRejectsUnmaskedClientFrame(t *testing.T) {
 	}
 }
 
+// TestServerConnNeedsNoRng pins the RNG contract of newConn: server
+// conns take none and write unmasked frames (RFC 6455 §5.1), while a
+// client conn without an explicit RNG is a bug and panics.
+func TestServerConnNeedsNoRng(t *testing.T) {
+	cc, sc := net.Pipe()
+	defer cc.Close()
+	server := newConn(sc, nil, false, nil)
+	defer server.shutdown()
+	go func() { _ = server.WriteText("unmasked") }()
+	f, err := ReadFrame(cc, DefaultMaxMessageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Masked || string(f.Payload) != "unmasked" {
+		t.Errorf("server frame: masked=%v payload=%q, want unmasked %q", f.Masked, f.Payload, "unmasked")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("client newConn with a nil rng did not panic")
+		}
+	}()
+	newConn(cc, nil, true, nil)
+}
+
 func TestConnRejectsInvalidUTF8Text(t *testing.T) {
 	client, server := pipePair(t)
 	go func() {

@@ -3,7 +3,6 @@ package wsproto
 import (
 	"bufio"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/http"
 	"time"
@@ -52,9 +51,8 @@ func Accept(nc net.Conn, selectProtocol func(offered []string) string) (*Conn, *
 		return nil, nil, fmt.Errorf("wsproto: send handshake response: %w", err)
 	}
 	_ = nc.SetDeadline(time.Time{})
-	// Server conns never mask frames (RFC 6455 §5.1), so the RNG is
-	// inert; a fixed seed keeps the conn fully deterministic anyway.
-	conn := newConn(nc, br, false, rand.New(rand.NewSource(1)))
+	// Server conns never mask frames (RFC 6455 §5.1): no RNG.
+	conn := newConn(nc, br, false, nil)
 	conn.Subprotocol = sub
 	return conn, hs, nil
 }
@@ -103,8 +101,8 @@ func Upgrade(w http.ResponseWriter, r *http.Request) (*Conn, error) {
 		return nil, fmt.Errorf("wsproto: send handshake response: %w", err)
 	}
 	_ = nc.SetWriteDeadline(time.Time{})
-	// As in Accept: server conns never mask, the fixed-seed RNG is inert.
-	return newConn(nc, rw.Reader, false, rand.New(rand.NewSource(2))), nil
+	// As in Accept: server conns never mask and take no RNG.
+	return newConn(nc, rw.Reader, false, nil), nil
 }
 
 // writeHandshakeError responds to a malformed opening handshake with a
