@@ -32,7 +32,9 @@
 // orchestrator (internal/dispatch): progress is checkpointed, failed
 // sites are retried with backoff, pages are spooled to sharded JSONL
 // files as they arrive, and -resume continues an interrupted crawl
-// without re-visiting completed sites. The dataset is always written
+// without re-visiting completed sites. Without them the crawl is one
+// in-memory pass whose dataset is byte-identical to a durable run's
+// with the same flags, at any -workers. The dataset is always written
 // atomically (temp file + rename), so a crash cannot leave a truncated
 // JSON file behind.
 //

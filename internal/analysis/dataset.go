@@ -1,6 +1,6 @@
-// Package analysis holds the crawl dataset model, the collector that
-// builds datasets from live page loads, and the generators for every
-// table and figure in the paper's evaluation (§4).
+// Package analysis holds the crawl dataset model, the recorder and
+// fold that build datasets from page loads, and the generators for
+// every table and figure in the paper's evaluation (§4).
 package analysis
 
 import (
@@ -9,13 +9,10 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/browser"
 	"repro/internal/content"
 	"repro/internal/crawler"
 	"repro/internal/inclusion"
-	"repro/internal/labeler"
 	"repro/internal/urlutil"
 )
 
@@ -121,80 +118,6 @@ func UnionAASet(datasets ...*Dataset) map[string]bool {
 		}
 	}
 	return out
-}
-
-// Collector builds a Dataset from live crawl pages. It is safe for
-// concurrent OnPage calls from crawl workers.
-type Collector struct {
-	Label *labeler.Labeler
-
-	rec     *Recorder
-	mu      sync.Mutex
-	name    string
-	era     string
-	index   int
-	sites   map[string]*SiteSummary
-	sockets []SocketRecord
-	http    map[string]*DomainTraffic
-	errs    int
-}
-
-// NewCollector builds a collector for one crawl. The labeler must carry
-// the rule lists (and CDN map) to use for tagging.
-func NewCollector(name, era string, index int, lab *labeler.Labeler) *Collector {
-	return &Collector{
-		Label: lab,
-		rec:   NewRecorder(lab),
-		name:  name,
-		era:   era,
-		index: index,
-		sites: map[string]*SiteSummary{},
-		http:  map[string]*DomainTraffic{},
-	}
-}
-
-// SetPooled switches the collector's recorder onto the pooled scratch
-// path (see Recorder.Pooled). Call before the crawl starts.
-func (c *Collector) SetPooled(pooled bool) { c.rec.Pooled = pooled }
-
-// OnPage processes one crawled page: builds its spool record, feeds the
-// labeler deltas, and folds the record into the dataset under
-// construction.
-func (c *Collector) OnPage(site crawler.Site, pageURL string, res *browser.PageResult) {
-	rec, err := c.rec.RecordPage(site, pageURL, res)
-	if err != nil {
-		c.mu.Lock()
-		c.errs++
-		c.mu.Unlock()
-		return
-	}
-	c.Label.AddObservations(rec.AAObs, rec.NonAAObs, rec.CDNObs)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.sites[site.Domain]
-	if s == nil {
-		s = &SiteSummary{Domain: site.Domain, Rank: site.Rank}
-		c.sites[site.Domain] = s
-	}
-	s.Pages++
-	s.Sockets += len(rec.Sockets)
-	c.sockets = append(c.sockets, rec.Sockets...)
-	for dom, t := range rec.HTTP {
-		dst := c.http[dom]
-		if dst == nil {
-			dst = &DomainTraffic{Domain: dom, SentItems: map[string]int{}, RecvClasses: map[string]int{}}
-			c.http[dom] = dst
-		}
-		dst.Requests += t.Requests
-		dst.ChainsBlocked += t.ChainsBlocked
-		for k, v := range t.SentItems {
-			dst.SentItems[k] += v
-		}
-		for k, v := range t.RecvClasses {
-			dst.RecvClasses[k] += v
-		}
-	}
 }
 
 // socketRecord converts one socket node into a compact record,
@@ -367,27 +290,4 @@ func hostOfURL(raw string) string {
 		return ""
 	}
 	return u.Host
-}
-
-// Finalize derives D′ and assembles the dataset.
-func (c *Collector) Finalize() *Dataset {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d := &Dataset{
-		Name:         c.name,
-		Era:          c.era,
-		CrawlIndex:   c.index,
-		Sockets:      c.sockets,
-		HTTPByDomain: c.http,
-	}
-	for _, s := range c.sites {
-		d.Sites = append(d.Sites, *s)
-	}
-	sort.Slice(d.Sites, func(i, j int) bool { return d.Sites[i].Rank < d.Sites[j].Rank })
-	for dom := range c.Label.Domains() {
-		d.AADomains = append(d.AADomains, dom)
-	}
-	sort.Strings(d.AADomains)
-	d.CDNCandidates = c.Label.CDNCandidates()
-	return d
 }

@@ -208,15 +208,15 @@ type MergeOptions struct {
 }
 
 // MergeShards streams PageRecords out of spool shard files and folds
-// them into a Dataset. Records are deduplicated by (site, pageURL),
-// first occurrence wins — safe because site crawls are deterministic,
-// so a re-crawled page carries an identical record. The output is
-// canonically ordered (sites by rank, sockets by site/page/tree
-// position) and therefore byte-identical across runs regardless of
-// worker scheduling.
+// them into a Dataset. It is a Folder fed by FoldShards and finalized
+// at once, so a merge and a live fold are the same code: records are
+// deduplicated by (site, pageURL), first occurrence wins — safe because
+// site crawls are deterministic, so a re-crawled page carries an
+// identical record — and the output is canonically ordered (sites by
+// rank, sockets by site/page/tree position), byte-identical across
+// runs regardless of worker scheduling.
 //
-// MergeShards reads the shards sequentially in a single goroutine;
-// callers running merges concurrently must use distinct shard sets.
+// Callers running merges concurrently must use distinct shard sets.
 // Merge throughput is recorded in the obs registry (merge.pages,
 // merge.duplicates, stage.merge).
 func MergeShards(meta DatasetMeta, paths []string) (*Dataset, MergeStats, error) {
@@ -228,45 +228,109 @@ func MergeShards(meta DatasetMeta, paths []string) (*Dataset, MergeStats, error)
 // for, torn tails inside those extents fail the merge instead of being
 // skipped as crash remnants.
 func MergeShardsOpts(meta DatasetMeta, paths []string, opts MergeOptions) (*Dataset, MergeStats, error) {
-	mergeSpan := obs.StartSpan(obs.StageMerge)
-	agg := newShardMerger(meta)
+	f := NewFolder(meta)
+	if stats, err := f.FoldShards(paths, opts); err != nil {
+		return nil, stats, err
+	}
+	ds, stats := f.Finalize()
+	return ds, stats, nil
+}
+
+// Folder folds PageRecords into a Dataset: live, one record at a time
+// as pages arrive (Fold), or streamed out of spool shard files
+// (FoldShards). Records are deduplicated by (site, pageURL), first
+// occurrence wins, and Finalize imposes the canonical order, so the
+// Dataset depends only on the set of records folded, never on their
+// arrival order. Fold and FoldShards are safe for concurrent use;
+// Finalize must only be called once all folds are done.
+type Folder struct {
+	mu         sync.Mutex
+	meta       DatasetMeta
+	seen       map[string]bool           // guarded by mu
+	sites      map[string]*SiteSummary   // guarded by mu
+	sockets    []SocketRecord            // guarded by mu
+	socketKeys []socketSortKey           // guarded by mu
+	http       map[string]*DomainTraffic // guarded by mu
+	aa         map[string]int            // guarded by mu
+	non        map[string]int            // guarded by mu
+	cdn        map[string]int            // guarded by mu
+	stats      MergeStats                // guarded by mu
+}
+
+// NewFolder starts an empty fold for one dataset.
+func NewFolder(meta DatasetMeta) *Folder {
+	return &Folder{
+		meta:  meta,
+		seen:  map[string]bool{},
+		sites: map[string]*SiteSummary{},
+		http:  map[string]*DomainTraffic{},
+		aa:    map[string]int{},
+		non:   map[string]int{},
+		cdn:   map[string]int{},
+	}
+}
+
+// Fold merges one page record, reporting false for duplicates. The
+// record's maps and socket slices are retained by reference; callers
+// must not mutate a record after folding it.
+func (f *Folder) Fold(rec *PageRecord) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fresh := f.fold(rec)
+	if fresh {
+		f.stats.Pages++
+	} else {
+		f.stats.Duplicates++
+	}
+	return fresh
+}
+
+// FoldShards streams every record of the given spool shard files into
+// the fold, holding the lock for the whole call. It reports what this
+// call read; on error the shards before the failing line stay folded.
+// The shards are read sequentially through one 64 KiB buffer: the
+// reader never hands bytes out past the fold of the line they belong
+// to, so the shards can share it.
+func (f *Folder) FoldShards(paths []string, opts MergeOptions) (MergeStats, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	stats := MergeStats{Shards: len(paths)}
-	// One read buffer serves every shard: the reader never hands bytes
-	// out past the fold of the line they belong to, so sequential shard
-	// merges can share it instead of re-allocating 64 KiB per file.
 	br := bufio.NewReaderSize(nil, 64*1024)
+	var err error
 	for i, path := range paths {
 		var min int64
 		if i < len(opts.MinShardBytes) {
 			min = opts.MinShardBytes[i]
 		}
-		if err := mergeShardFile(path, br, agg, &stats, min); err != nil {
-			return nil, stats, err
+		if err = f.foldShardFile(path, br, &stats, min); err != nil {
+			break
 		}
 	}
-	ds := agg.finalize()
-	mergeSpan.End()
-	obs.MergePages.Add(int64(stats.Pages))
-	obs.MergeDuplicates.Add(int64(stats.Duplicates))
-	return ds, stats, nil
+	f.stats.Shards += stats.Shards
+	f.stats.Pages += stats.Pages
+	f.stats.Duplicates += stats.Duplicates
+	f.stats.Truncated += stats.Truncated
+	return stats, err
 }
 
-// mergeShardFile streams one shard into the merger, tracking byte
-// offsets so trailing fragments can be judged against the durable
-// extent a checkpoint recorded (minBytes; 0 when no checkpoint spoke
-// for this shard). Only an *unterminated* trailing fragment can be a
-// crash torn mid-append, and only when it starts at or past minBytes —
-// inside the extent the checkpoint promised complete lines, so a torn
-// tail there means durable data went missing. A newline-terminated
-// line that fails to decode was written complete; that is corruption
-// and fails the merge regardless of position, final line included.
-func mergeShardFile(path string, br *bufio.Reader, agg *shardMerger, stats *MergeStats, minBytes int64) error {
-	f, err := os.Open(path)
+// foldShardFile streams one shard into the fold, tracking byte offsets
+// so trailing fragments can be judged against the durable extent a
+// checkpoint recorded (minBytes; 0 when no checkpoint spoke for this
+// shard). Only an *unterminated* trailing fragment can be a crash torn
+// mid-append, and only when it starts at or past minBytes — inside the
+// extent the checkpoint promised complete lines, so a torn tail there
+// means durable data went missing. A newline-terminated line that fails
+// to decode was written complete; that is corruption and fails the
+// fold regardless of position, final line included.
+//
+//lint:allow lockguard runs with f.mu held by FoldShards, its only caller
+func (f *Folder) foldShardFile(path string, br *bufio.Reader, stats *MergeStats, minBytes int64) error {
+	file, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("analysis: open shard: %w", err)
 	}
-	defer f.Close()
-	br.Reset(f)
+	defer file.Close()
+	br.Reset(file)
 	var off int64
 	line := 0
 	for {
@@ -295,46 +359,12 @@ func mergeShardFile(path string, br *bufio.Reader, agg *shardMerger, stats *Merg
 		if derr != nil {
 			return fmt.Errorf("analysis: shard %s line %d: %w", path, line, derr)
 		}
-		if agg.fold(rec) {
+		if f.fold(rec) {
 			stats.Pages++
 		} else {
 			stats.Duplicates++
 		}
 	}
-}
-
-// Folder folds PageRecords into a Dataset incrementally as pages
-// arrive, sparing the finalize step a full decode pass over the spool.
-// It applies exactly the same aggregation and (site, pageURL)
-// deduplication as MergeShards, so a crawl folded live produces a
-// Dataset byte-identical to one merged from its spool shards — the
-// records for a given page are deterministic, and finalize imposes the
-// canonical order regardless of arrival order. Fold is safe for
-// concurrent use; Finalize must only be called once all folds are done.
-type Folder struct {
-	mu  sync.Mutex
-	agg *shardMerger // guarded by mu
-	n   int          // guarded by mu; distinct pages folded
-	dup int          // guarded by mu; duplicates skipped
-}
-
-// NewFolder starts an empty incremental fold for one dataset.
-func NewFolder(meta DatasetMeta) *Folder {
-	return &Folder{agg: newShardMerger(meta)}
-}
-
-// Fold merges one page record, reporting false for duplicates. The
-// record's maps and socket slices are retained by reference; callers
-// must not mutate a record after folding it.
-func (f *Folder) Fold(rec *PageRecord) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.agg.fold(rec) {
-		f.n++
-		return true
-	}
-	f.dup++
-	return false
 }
 
 // Snapshot assembles the canonical Dataset from the records folded so
@@ -349,7 +379,7 @@ func (f *Folder) Fold(rec *PageRecord) bool {
 func (f *Folder) Snapshot() (*Dataset, MergeStats) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ds := f.agg.finalize()
+	ds := f.finalize()
 	http := make(map[string]*DomainTraffic, len(ds.HTTPByDomain))
 	for dom, t := range ds.HTTPByDomain {
 		cp := *t
@@ -358,7 +388,7 @@ func (f *Folder) Snapshot() (*Dataset, MergeStats) {
 		http[dom] = &cp
 	}
 	ds.HTTPByDomain = http
-	return ds, MergeStats{Pages: f.n, Duplicates: f.dup}
+	return ds, f.stats
 }
 
 // ObsCounts returns copies of the folded labeler observation deltas:
@@ -369,7 +399,7 @@ func (f *Folder) Snapshot() (*Dataset, MergeStats) {
 func (f *Folder) ObsCounts() (aa, non, cdn map[string]int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return copyCounts(f.agg.aa), copyCounts(f.agg.non), copyCounts(f.agg.cdn)
+	return copyCounts(f.aa), copyCounts(f.non), copyCounts(f.cdn)
 }
 
 func copyCounts(m map[string]int) map[string]int {
@@ -384,17 +414,17 @@ func copyCounts(m map[string]int) map[string]int {
 }
 
 // Finalize assembles the canonical Dataset and the fold's merge stats.
-// It is the merge stage of a live-folded crawl and reports itself as
-// such (stage.merge, merge.pages, merge.duplicates).
+// It is the merge stage of a crawl and reports itself as such
+// (stage.merge, merge.pages, merge.duplicates).
 func (f *Folder) Finalize() (*Dataset, MergeStats) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	span := obs.StartSpan(obs.StageMerge)
-	ds := f.agg.finalize()
+	ds := f.finalize()
 	span.End()
-	obs.MergePages.Add(int64(f.n))
-	obs.MergeDuplicates.Add(int64(f.dup))
-	return ds, MergeStats{Pages: f.n, Duplicates: f.dup}
+	obs.MergePages.Add(int64(f.stats.Pages))
+	obs.MergeDuplicates.Add(int64(f.stats.Duplicates))
+	return ds, f.stats
 }
 
 // socketSortKey orders merged socket records canonically: by site rank,
@@ -419,54 +449,32 @@ func (k socketSortKey) less(o socketSortKey) bool {
 	return k.index < o.index
 }
 
-// shardMerger is the streaming aggregation state of a merge.
-type shardMerger struct {
-	meta       DatasetMeta
-	seen       map[string]bool
-	sites      map[string]*SiteSummary
-	sockets    []SocketRecord
-	socketKeys []socketSortKey
-	http       map[string]*DomainTraffic
-	aa, non    map[string]int
-	cdn        map[string]int
-}
-
-func newShardMerger(meta DatasetMeta) *shardMerger {
-	return &shardMerger{
-		meta:  meta,
-		seen:  map[string]bool{},
-		sites: map[string]*SiteSummary{},
-		http:  map[string]*DomainTraffic{},
-		aa:    map[string]int{},
-		non:   map[string]int{},
-		cdn:   map[string]int{},
-	}
-}
-
 // fold merges one record; it reports false for duplicates.
-func (m *shardMerger) fold(rec *PageRecord) bool {
+//
+//lint:allow lockguard runs with f.mu held by Fold and foldShardFile
+func (f *Folder) fold(rec *PageRecord) bool {
 	key := rec.Site + "\x00" + rec.PageURL
-	if m.seen[key] {
+	if f.seen[key] {
 		return false
 	}
-	m.seen[key] = true
+	f.seen[key] = true
 
-	s := m.sites[rec.Site]
+	s := f.sites[rec.Site]
 	if s == nil {
 		s = &SiteSummary{Domain: rec.Site, Rank: rec.Rank}
-		m.sites[rec.Site] = s
+		f.sites[rec.Site] = s
 	}
 	s.Pages++
 	s.Sockets += len(rec.Sockets)
 	for i, ws := range rec.Sockets {
-		m.sockets = append(m.sockets, ws)
-		m.socketKeys = append(m.socketKeys, socketSortKey{rank: rec.Rank, site: rec.Site, pageURL: rec.PageURL, index: i})
+		f.sockets = append(f.sockets, ws)
+		f.socketKeys = append(f.socketKeys, socketSortKey{rank: rec.Rank, site: rec.Site, pageURL: rec.PageURL, index: i})
 	}
 	for dom, t := range rec.HTTP {
-		dst := m.http[dom]
+		dst := f.http[dom]
 		if dst == nil {
 			dst = &DomainTraffic{Domain: dom, SentItems: map[string]int{}, RecvClasses: map[string]int{}}
-			m.http[dom] = dst
+			f.http[dom] = dst
 		}
 		dst.Requests += t.Requests
 		dst.ChainsBlocked += t.ChainsBlocked
@@ -478,27 +486,29 @@ func (m *shardMerger) fold(rec *PageRecord) bool {
 		}
 	}
 	for d, n := range rec.AAObs {
-		m.aa[d] += n
+		f.aa[d] += n
 	}
 	for d, n := range rec.NonAAObs {
-		m.non[d] += n
+		f.non[d] += n
 	}
 	for h, n := range rec.CDNObs {
-		m.cdn[h] += n
+		f.cdn[h] += n
 	}
 	return true
 }
 
 // finalize assembles the canonical Dataset: derives D′ from the summed
 // deltas with the labeler's threshold rule and sorts every slice.
-func (m *shardMerger) finalize() *Dataset {
+//
+//lint:allow lockguard runs with f.mu held by Snapshot and Finalize
+func (f *Folder) finalize() *Dataset {
 	d := &Dataset{
-		Name:         m.meta.Name,
-		Era:          m.meta.Era,
-		CrawlIndex:   m.meta.CrawlIndex,
-		HTTPByDomain: m.http,
+		Name:         f.meta.Name,
+		Era:          f.meta.Era,
+		CrawlIndex:   f.meta.CrawlIndex,
+		HTTPByDomain: f.http,
 	}
-	for _, s := range m.sites {
+	for _, s := range f.sites {
 		d.Sites = append(d.Sites, *s)
 	}
 	sort.Slice(d.Sites, func(i, j int) bool {
@@ -508,35 +518,35 @@ func (m *shardMerger) finalize() *Dataset {
 		return d.Sites[i].Domain < d.Sites[j].Domain
 	})
 
-	order := make([]int, len(m.sockets))
+	order := make([]int, len(f.sockets))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return m.socketKeys[order[a]].less(m.socketKeys[order[b]]) })
-	d.Sockets = make([]SocketRecord, 0, len(m.sockets))
+	sort.Slice(order, func(a, b int) bool { return f.socketKeys[order[a]].less(f.socketKeys[order[b]]) })
+	d.Sockets = make([]SocketRecord, 0, len(f.sockets))
 	for _, i := range order {
-		d.Sockets = append(d.Sockets, m.sockets[i])
+		d.Sockets = append(d.Sockets, f.sockets[i])
 	}
 
 	// D′ under the §3.2 threshold, from the merged observation deltas.
-	for dom, a := range m.aa {
+	for dom, a := range f.aa {
 		if a == 0 {
 			continue
 		}
-		if float64(a) >= labeler.Threshold*float64(m.non[dom]) {
+		if float64(a) >= labeler.Threshold*float64(f.non[dom]) {
 			d.AADomains = append(d.AADomains, dom)
 		}
 	}
 	sort.Strings(d.AADomains)
 
 	// CDN candidates most-frequent first, mirroring labeler ordering.
-	for h := range m.cdn {
+	for h := range f.cdn {
 		d.CDNCandidates = append(d.CDNCandidates, h)
 	}
 	sort.Slice(d.CDNCandidates, func(i, j int) bool {
 		hi, hj := d.CDNCandidates[i], d.CDNCandidates[j]
-		if m.cdn[hi] != m.cdn[hj] {
-			return m.cdn[hi] > m.cdn[hj]
+		if f.cdn[hi] != f.cdn[hj] {
+			return f.cdn[hi] > f.cdn[hj]
 		}
 		return hi < hj
 	})

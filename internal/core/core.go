@@ -66,8 +66,8 @@ type Options struct {
 	PagesPerSite int
 	// WaitBetweenPages throttles the crawl (paper: ~60s; default 0).
 	WaitBetweenPages time.Duration
-	// Extensions, if non-nil, builds blocking extensions per crawl
-	// worker; the paper crawled with stock Chrome (nil).
+	// Extensions, if non-nil, builds blocking extensions for each
+	// site's browser; the paper crawled with stock Chrome (nil).
 	Extensions func(spec CrawlSpec) []browser.Extension
 	// Dispatch, if non-nil, routes crawls through the durable
 	// orchestrator (internal/dispatch): lease-backed queue, retries,
@@ -87,9 +87,9 @@ type Options struct {
 	// store (internal/colstore): every page record is ingested as it
 	// arrives, segments seal atomically at each checkpoint boundary, and
 	// the crawl's dataset is served from the store's incremental
-	// aggregate instead of the end-of-run spool merge. The spool stays
-	// behind as the differential oracle — store-derived tables are
-	// byte-identical to merge-derived ones (TestStoreDifferential).
+	// aggregate instead of the in-memory fold. The spool stays behind
+	// as the differential oracle — store-derived tables are
+	// byte-identical to fold-derived ones (TestStoreDifferential).
 	// Requires Dispatch; the sealed store is queryable with cmd/wsquery.
 	Store bool
 	// FaultProfile, when non-empty, names a faultnet profile (see
@@ -174,7 +174,10 @@ type CrawlResult struct {
 // RunCrawl generates the world for a crawl spec, serves it, crawls it,
 // and returns the measurement dataset. With opts.Dispatch set the crawl
 // runs through the durable orchestrator (checkpointed, retried,
-// resumable); otherwise it is a one-shot in-memory pass.
+// resumable); otherwise it is a one-shot in-memory pass. Both paths
+// build one browser per site seeded with crawler.SiteSeed and fold
+// Recorder records into an analysis.Folder, so for a given config they
+// produce the same dataset bytes at any worker count.
 func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, error) {
 	opts = withDefaults(opts)
 	if opts.Store && opts.Dispatch == nil {
@@ -218,47 +221,53 @@ func RunCrawl(ctx context.Context, opts Options, spec CrawlSpec) (*CrawlResult, 
 		sites = append(sites, crawler.Site{Domain: p.Domain, Rank: p.Rank})
 	}
 
-	if opts.Dispatch != nil {
-		return runCrawlDispatch(ctx, opts, spec, server, lab, sites, fault, faultSeed)
-	}
-
-	collector := analysis.NewCollector(spec.Name, spec.Era.String(), spec.CrawlIndex, lab)
-	collector.SetPooled(!opts.ReferencePipeline)
-	cfg := crawler.Config{
-		Workers:          opts.Workers,
-		PagesPerSite:     opts.PagesPerSite,
-		Seed:             opts.Seed + int64(spec.CrawlIndex),
-		WaitBetweenPages: opts.WaitBetweenPages,
-		NewBrowser: func(worker int) *browser.Browser {
-			var exts []browser.Extension
-			if opts.Extensions != nil {
-				exts = opts.Extensions(spec)
-			}
-			return browser.New(browserConfig(opts, server,
-				spec.BrowserVersion, opts.Seed+int64(spec.CrawlIndex)*1000+int64(worker),
-				fault, faultSeed), exts...)
-		},
-		OnPage: collector.OnPage,
-	}
-	stats, err := crawler.Crawl(ctx, sites, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
-	}
-	return &CrawlResult{Spec: spec, Dataset: collector.Finalize(), Stats: stats}, nil
-}
-
-// runCrawlDispatch routes one crawl through the durable orchestrator.
-// Browsers are seeded per site (crawler.SiteSeed), so site results are
-// independent of worker assignment and retries — the property that
-// makes resumed crawls converge to the uninterrupted dataset.
-func runCrawlDispatch(ctx context.Context, opts Options, spec CrawlSpec, server *webserver.Server, lab *labeler.Labeler, sites []crawler.Site, fault faultnet.Profile, faultSeed int64) (*CrawlResult, error) {
-	d := opts.Dispatch
 	crawlSeed := opts.Seed + int64(spec.CrawlIndex)
 	meta := analysis.DatasetMeta{
 		Name:       spec.Name,
 		Era:        spec.Era.String(),
 		CrawlIndex: spec.CrawlIndex,
 	}
+	rec := &analysis.Recorder{Label: lab, Pooled: !opts.ReferencePipeline}
+	// Browsers are seeded per site, so a site's records are a pure
+	// function of (seed, site) — independent of worker assignment,
+	// retries and resume boundaries.
+	siteBrowser := func(site crawler.Site) *browser.Browser {
+		var exts []browser.Extension
+		if opts.Extensions != nil {
+			exts = opts.Extensions(spec)
+		}
+		return browser.New(browserConfig(opts, server,
+			spec.BrowserVersion, crawler.SiteSeed(crawlSeed, site.Domain),
+			fault, faultSeed), exts...)
+	}
+	if opts.Dispatch != nil {
+		return runCrawlDispatch(ctx, opts, spec, meta, rec, sites, siteBrowser)
+	}
+
+	folder := analysis.NewFolder(meta)
+	stats, err := crawler.Crawl(ctx, sites, crawler.Config{
+		Workers:          opts.Workers,
+		PagesPerSite:     opts.PagesPerSite,
+		Seed:             crawlSeed,
+		WaitBetweenPages: opts.WaitBetweenPages,
+		SiteBrowser:      siteBrowser,
+		OnPage: func(site crawler.Site, pageURL string, res *browser.PageResult) {
+			if r, err := rec.RecordPage(site, pageURL, res); err == nil {
+				folder.Fold(r) // an unparseable page is dropped, as on the dispatch path
+			}
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: crawl %q: %w", spec.Name, err)
+	}
+	ds, _ := folder.Finalize()
+	return &CrawlResult{Spec: spec, Dataset: ds, Stats: stats}, nil
+}
+
+// runCrawlDispatch routes one crawl through the durable orchestrator,
+// with the same recorder and per-site browsers as the one-shot path.
+func runCrawlDispatch(ctx context.Context, opts Options, spec CrawlSpec, meta analysis.DatasetMeta, rec *analysis.Recorder, sites []crawler.Site, siteBrowser func(crawler.Site) *browser.Browser) (*CrawlResult, error) {
+	d := opts.Dispatch
 	var store *colstore.Store
 	if opts.Store {
 		shards := d.NumShards
@@ -282,28 +291,19 @@ func runCrawlDispatch(ctx context.Context, opts Options, spec CrawlSpec, server 
 		Sites:            sites,
 		Workers:          opts.Workers,
 		PagesPerSite:     opts.PagesPerSite,
-		Seed:             crawlSeed,
+		Seed:             opts.Seed + int64(spec.CrawlIndex),
 		WaitBetweenPages: opts.WaitBetweenPages,
-		NewBrowser: func(site crawler.Site, attempt int) *browser.Browser {
-			var exts []browser.Extension
-			if opts.Extensions != nil {
-				exts = opts.Extensions(spec)
-			}
-			return browser.New(browserConfig(opts, server,
-				spec.BrowserVersion, crawler.SiteSeed(crawlSeed, site.Domain),
-				fault, faultSeed), exts...)
-		},
-		Recorder:        &analysis.Recorder{Label: lab, Pooled: !opts.ReferencePipeline},
-		Batch:           spoolBatch(opts),
-		FoldLive:        !opts.ReferencePipeline && !opts.Store,
-		Store:           store,
-		SpoolDir:        d.spoolDir(spec),
-		NumShards:       d.NumShards,
-		CheckpointPath:  d.checkpointPath(spec),
-		Resume:          d.Resume,
-		CheckpointEvery: d.CheckpointEvery,
-		Retry:           dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
-		LeaseTTL:        d.LeaseTTL,
+		SiteBrowser:      func(site crawler.Site, _ int) *browser.Browser { return siteBrowser(site) },
+		Recorder:         rec,
+		Batch:            spoolBatch(opts),
+		Store:            store,
+		SpoolDir:         d.spoolDir(spec),
+		NumShards:        d.NumShards,
+		CheckpointPath:   d.checkpointPath(spec),
+		Resume:           d.Resume,
+		CheckpointEvery:  d.CheckpointEvery,
+		Retry:            dispatch.RetryPolicy{MaxAttempts: d.MaxAttempts},
+		LeaseTTL:         d.LeaseTTL,
 	})
 	if store != nil {
 		// Seal the tail segments so the on-disk store holds the complete
@@ -328,7 +328,7 @@ func spoolBatch(opts Options) dispatch.BatchPolicy {
 	return dispatch.BatchPolicy{Pages: 64, Bytes: 256 * 1024}
 }
 
-// browserConfig assembles one worker's browser config, selecting the
+// browserConfig assembles one site's browser config, selecting the
 // fetch path: in-process direct fetch (webserver.Fetch) on the
 // optimized pipeline, the wire client on the reference pipeline — and
 // always the wire under fault injection, since bypassing the wire would
@@ -350,9 +350,9 @@ func browserConfig(opts Options, server *webserver.Server, version int, seed int
 // applyFault arms a browser config for a degraded crawl: client-side
 // fault wrapping on its WebSocket dials, plus the dial-retry hardening
 // that keeps transient handshake failures from costing a socket. Fault
-// schedules key on the browser's Seed, so on the dispatch path (per-site
-// seeded browsers) socket outcomes stay independent of worker
-// assignment and retries, exactly like the rest of the crawl.
+// schedules key on the browser's Seed, and browsers are seeded per
+// site, so socket outcomes stay independent of worker assignment and
+// retries, exactly like the rest of the crawl.
 func applyFault(cfg browser.Config, fault faultnet.Profile, faultSeed int64) browser.Config {
 	if !fault.Enabled() {
 		return cfg

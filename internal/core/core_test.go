@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -49,21 +50,30 @@ func TestRunCrawlEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRunCrawlDeterministic: the one-shot path's dataset bytes depend
+// on the config alone — identical across two runs and across worker
+// counts.
 func TestRunCrawlDeterministic(t *testing.T) {
 	spec := CrawlSpec{Name: "det", Era: webgen.EraPrePatch, CrawlIndex: 1, BrowserVersion: 57}
-	a, err := RunCrawl(context.Background(), smallOpts(), spec)
-	if err != nil {
-		t.Fatal(err)
+	crawl := func(workers int) []byte {
+		opts := smallOpts()
+		opts.Workers = workers
+		res, err := RunCrawl(context.Background(), opts, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Dataset.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	b, err := RunCrawl(context.Background(), smallOpts(), spec)
-	if err != nil {
-		t.Fatal(err)
+	a := crawl(4)
+	if b := crawl(4); !bytes.Equal(a, b) {
+		t.Errorf("two runs with the same config differ: %d vs %d bytes", len(a), len(b))
 	}
-	if len(a.Dataset.Sockets) != len(b.Dataset.Sockets) {
-		t.Errorf("socket counts differ: %d vs %d", len(a.Dataset.Sockets), len(b.Dataset.Sockets))
-	}
-	if len(a.Dataset.AADomains) != len(b.Dataset.AADomains) {
-		t.Errorf("D' sizes differ: %d vs %d", len(a.Dataset.AADomains), len(b.Dataset.AADomains))
+	if c := crawl(1); !bytes.Equal(a, c) {
+		t.Errorf("dataset depends on worker count: 4 workers %d bytes, 1 worker %d bytes", len(a), len(c))
 	}
 }
 

@@ -32,7 +32,7 @@ func runPipeline(t *testing.T, reference bool) []byte {
 
 // TestPipelineDifferential is the PR's non-negotiable invariant: the
 // optimized pipeline — in-process fetch plane, per-page scratch reuse,
-// pooled recorder, group-committed spool, live folding — produces a
+// pooled recorder, group-committed spool — produces a
 // byte-identical dataset to the retained seed/reference path. Every
 // pooling or batching optimization must preserve this; a single leaked
 // scratch byte or reordered record fails here.

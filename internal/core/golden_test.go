@@ -12,10 +12,11 @@ import (
 	"repro/internal/webgen"
 )
 
-// goldenDatasets pins the exact bytes of Dataset.WriteJSON for
-// dispatch-path crawls of a small world. The digests were computed
-// once and committed; any change to generated pages, crawl order,
-// labeling or the fold that moves a single dataset byte fails here.
+// goldenDatasets pins the exact bytes of Dataset.WriteJSON for crawls
+// of a small world, on the dispatch path and the one-shot path alike.
+// The digests were computed once and committed; any change to
+// generated pages, crawl order, labeling or the fold that moves a
+// single dataset byte fails here.
 // A change that is meant to move the bytes must update these digests
 // (and re-baseline EXPERIMENTS.md) in the same commit.
 var goldenDatasets = []struct {
@@ -32,14 +33,16 @@ var goldenDatasets = []struct {
 	},
 }
 
-// goldenDigest runs one dispatch-path crawl of the pinned small world
-// and returns the SHA-256 of its dataset JSON.
-func goldenDigest(t *testing.T, spec CrawlSpec, workers int) string {
+// goldenDigest runs one crawl of the pinned small world — through the
+// durable orchestrator when dispatched is set, one-shot otherwise — and
+// returns the SHA-256 of its dataset JSON.
+func goldenDigest(t *testing.T, spec CrawlSpec, workers int, dispatched bool) string {
 	t.Helper()
-	res, err := RunCrawl(context.Background(), Options{
-		Seed: 20180411, NumPublishers: 60, Workers: workers, PagesPerSite: 5,
-		Dispatch: &DispatchOptions{StateDir: filepath.Join(t.TempDir(), "state")},
-	}, spec)
+	opts := Options{Seed: 20180411, NumPublishers: 60, Workers: workers, PagesPerSite: 5}
+	if dispatched {
+		opts.Dispatch = &DispatchOptions{StateDir: filepath.Join(t.TempDir(), "state")}
+	}
+	res, err := RunCrawl(context.Background(), opts, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,23 @@ func TestGoldenDatasetDigests(t *testing.T) {
 	for _, g := range goldenDatasets {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", g.spec.Name, workers), func(t *testing.T) {
-				if got := goldenDigest(t, g.spec, workers); got != g.digest {
+				if got := goldenDigest(t, g.spec, workers, true); got != g.digest {
+					t.Errorf("dataset digest = %s, want %s", got, g.digest)
+				}
+			})
+		}
+	}
+}
+
+// TestGoldenDatasetDigestsOneShot runs the same pinned crawls through
+// the one-shot entry point (no Dispatch): it folds the same records as
+// the dispatch path, so it must reproduce the same committed digests at
+// any worker count.
+func TestGoldenDatasetDigestsOneShot(t *testing.T) {
+	for _, g := range goldenDatasets {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", g.spec.Name, workers), func(t *testing.T) {
+				if got := goldenDigest(t, g.spec, workers, false); got != g.digest {
 					t.Errorf("dataset digest = %s, want %s", got, g.digest)
 				}
 			})

@@ -36,7 +36,7 @@ func storeDatasetBytes(t *testing.T, ds *analysis.Dataset) []byte {
 }
 
 // TestStoreDifferential runs the pinned bench-crawl world through both
-// dataset paths — end-of-run spool merge vs streaming columnar store —
+// dataset paths — in-memory fold vs streaming columnar store —
 // and requires byte-identical datasets and byte-identical rendered
 // Table 1-5 output, from the live run and from a cold read-only open of
 // the sealed segments.

@@ -6,11 +6,10 @@
 // The crawler is deterministic per (seed, site) and runs sites across a
 // worker pool. Sites come from a pluggable Source: a plain slice for
 // one-shot crawls, or a durable lease-backed queue (internal/dispatch)
-// for crawls that must survive crashes and retries. Each worker owns
-// its own browser instance (one synthetic user per worker, like one
-// Chrome profile per crawler node), unless Config.SiteBrowser asks for
-// a fresh browser per site — the mode the dispatch orchestrator uses so
-// a site's results do not depend on which worker crawled it.
+// for crawls that must survive crashes and retries. Every site gets a
+// fresh browser from Config.SiteBrowser, so a site's results do not
+// depend on which worker crawled it, in what order, or on which
+// attempt.
 package crawler
 
 import (
@@ -49,13 +48,10 @@ type Config struct {
 	// WaitBetweenPages throttles page visits (the paper waited ~60s;
 	// the simulator defaults to 0).
 	WaitBetweenPages time.Duration
-	// NewBrowser builds the browser for a worker. Required unless
-	// SiteBrowser is set.
-	NewBrowser func(worker int) *browser.Browser
-	// SiteBrowser, when set, builds a fresh browser per site instead of
-	// one per worker. This makes a site's results independent of worker
-	// assignment and visit order, which the dispatch orchestrator
-	// relies on for deterministic retries and resume.
+	// SiteBrowser builds a fresh browser for each site. Seed it with
+	// SiteSeed so a site's results are independent of worker
+	// assignment and visit order, which byte-identical datasets and
+	// deterministic retries and resume rely on. Required.
 	SiteBrowser func(site Site) *browser.Browser
 	// OnPage receives every successfully loaded page. It may be called
 	// concurrently from workers.
@@ -206,8 +202,8 @@ func Crawl(ctx context.Context, sites []Site, cfg Config) (Stats, error) {
 // Workers pull sites with src.Next, crawl them with per-site panic
 // recovery, and report each outcome with src.Done.
 func CrawlSource(ctx context.Context, src Source, cfg Config) (Stats, error) {
-	if cfg.NewBrowser == nil && cfg.SiteBrowser == nil {
-		return Stats{}, fmt.Errorf("crawler: Config.NewBrowser or Config.SiteBrowser is required")
+	if cfg.SiteBrowser == nil {
+		return Stats{}, fmt.Errorf("crawler: Config.SiteBrowser is required")
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -218,25 +214,17 @@ func CrawlSource(ctx context.Context, src Source, cfg Config) (Stats, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			var b *browser.Browser
-			if cfg.SiteBrowser == nil {
-				b = cfg.NewBrowser(worker)
-			}
 			for {
 				site, ok := src.Next(ctx)
 				if !ok {
 					return
 				}
-				sb := b
-				if cfg.SiteBrowser != nil {
-					sb = cfg.SiteBrowser(site)
-				}
-				pages, err := CrawlSite(ctx, sb, site, cfg, &stats)
+				pages, err := CrawlSite(ctx, cfg.SiteBrowser(site), site, cfg, &stats)
 				src.Done(site, pages, err)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return stats, ctx.Err()
@@ -378,9 +366,10 @@ func shuffled(rng *rand.Rand, in []string) []string {
 }
 
 // SiteSeed derives a per-site browser seed: results for a site become a
-// pure function of (seed, site), independent of worker assignment —
-// the property the dispatch orchestrator needs so retried and resumed
-// sites reproduce their original records exactly.
+// pure function of (seed, site), independent of worker assignment.
+// That makes every crawl's dataset byte-identical across worker
+// counts, and lets retried and resumed sites reproduce their original
+// records exactly.
 func SiteSeed(seed int64, domain string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "site|%d|%s", seed, domain)

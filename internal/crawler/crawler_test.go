@@ -35,9 +35,9 @@ func TestCrawlRespectsPageBudget(t *testing.T) {
 		Workers:      2,
 		PagesPerSite: 5,
 		Seed:         7,
-		NewBrowser: func(worker int) *browser.Browser {
+		SiteBrowser: func(site Site) *browser.Browser {
 			return browser.New(browser.Config{
-				Version: 57, Seed: int64(worker),
+				Version: 57, Seed: SiteSeed(7, site.Domain),
 				HTTPClient: s.Client(), ResolveWS: s.Resolver(),
 			})
 		},
@@ -74,7 +74,7 @@ func TestCrawlVisitsHomepageFirst(t *testing.T) {
 	site := Site{Domain: w.Publishers[0].Domain, Rank: 1}
 	cfg := Config{
 		Workers: 1, PagesPerSite: 3, Seed: 7,
-		NewBrowser: func(worker int) *browser.Browser {
+		SiteBrowser: func(site Site) *browser.Browser {
 			return browser.New(browser.Config{Version: 57, Seed: 1, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
 		},
 		OnPage: func(_ Site, pageURL string, _ *browser.PageResult) {
@@ -98,7 +98,7 @@ func TestCrawlDeterministicLinkSampling(t *testing.T) {
 		var pages []string
 		cfg := Config{
 			Workers: 1, PagesPerSite: 6, Seed: 99,
-			NewBrowser: func(worker int) *browser.Browser {
+			SiteBrowser: func(site Site) *browser.Browser {
 				return browser.New(browser.Config{Version: 57, Seed: 5, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
 			},
 			OnPage: func(_ Site, pageURL string, _ *browser.PageResult) {
@@ -134,7 +134,7 @@ func TestCrawlCancellation(t *testing.T) {
 	}
 	cfg := Config{
 		Workers: 2, PagesPerSite: 15, Seed: 1,
-		NewBrowser: func(worker int) *browser.Browser {
+		SiteBrowser: func(site Site) *browser.Browser {
 			return browser.New(browser.Config{Version: 57, Seed: 2, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
 		},
 		OnPage: func(Site, string, *browser.PageResult) {
@@ -293,7 +293,7 @@ func TestCrawlCancellationStatsConsistent(t *testing.T) {
 
 func TestCrawlRequiresBrowserFactory(t *testing.T) {
 	if _, err := Crawl(context.Background(), nil, Config{}); err == nil {
-		t.Error("missing NewBrowser accepted")
+		t.Error("missing SiteBrowser accepted")
 	}
 }
 
@@ -301,7 +301,7 @@ func TestCrawlCountsErrors(t *testing.T) {
 	_, s := testEnv(t)
 	cfg := Config{
 		Workers: 1, PagesPerSite: 3, Seed: 1,
-		NewBrowser: func(worker int) *browser.Browser {
+		SiteBrowser: func(site Site) *browser.Browser {
 			return browser.New(browser.Config{Version: 57, Seed: 3, HTTPClient: s.Client(), ResolveWS: s.Resolver()})
 		},
 	}

@@ -11,31 +11,38 @@ import (
 )
 
 // batched returns cfg flipped onto the optimized dispatch plane: pooled
-// recorder scratch, group-committed spool writes, and live record
-// folding.
+// recorder scratch and group-committed spool writes.
 func batched(cfg Config) Config {
 	cfg.Recorder.Pooled = true
 	cfg.Batch = BatchPolicy{Pages: 64, Bytes: 256 * 1024}
-	cfg.FoldLive = true
 	return cfg
 }
 
 // TestBatchedPipelineMatchesSeedDataset is the dispatch half of the
-// differential invariant: group commit plus live folding produces the
-// same dataset bytes as the seed per-record-flush, merge-at-end path.
+// differential invariant: pooled recording plus group commit produces
+// the same dataset bytes as the seed per-record-flush path, and both
+// equal the merge of their own spools.
 func TestBatchedPipelineMatchesSeedDataset(t *testing.T) {
 	env := newTestEnv(t, 16)
 
-	seed, err := Run(context.Background(), env.config(t.TempDir(), 2))
+	seedCfg := env.config(t.TempDir(), 2)
+	seed, err := Run(context.Background(), seedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Run(context.Background(), batched(env.config(t.TempDir(), 2)))
+	optCfg := batched(env.config(t.TempDir(), 2))
+	opt, err := Run(context.Background(), optCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(datasetBytes(t, seed.Dataset), datasetBytes(t, opt.Dataset)) {
 		t.Error("batched+folded dataset differs from seed pipeline")
+	}
+	if !bytes.Equal(datasetBytes(t, seed.Dataset), mergedSpool(t, seedCfg)) {
+		t.Error("seed pipeline dataset differs from the merge of its own spool")
+	}
+	if !bytes.Equal(datasetBytes(t, opt.Dataset), mergedSpool(t, optCfg)) {
+		t.Error("batched dataset differs from the merge of its own spool")
 	}
 	// The folded run must still report real merge stats.
 	if opt.Merge.Pages != seed.Merge.Pages {
@@ -84,6 +91,9 @@ func TestBatchedKillAndResumeConverges(t *testing.T) {
 	}
 	if !bytes.Equal(datasetBytes(t, full.Dataset), datasetBytes(t, res.Dataset)) {
 		t.Error("killed+resumed batched run differs from uninterrupted seed run")
+	}
+	if !bytes.Equal(datasetBytes(t, res.Dataset), mergedSpool(t, cfg2)) {
+		t.Error("killed+resumed batched run differs from the merge of its own spool")
 	}
 }
 

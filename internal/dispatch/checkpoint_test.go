@@ -195,3 +195,53 @@ func TestWriteAtomicPreservesOldFileOnFailure(t *testing.T) {
 		t.Errorf("temp file left behind: %v", entries)
 	}
 }
+
+// TestCheckpointWriteFailsWhenShardIsGone: a checkpoint published
+// without ShardBytes reads as v1 ("no guard"), so resume would check
+// nothing. When a shard cannot be stat'ed — here it was unlinked while
+// its spool is open — the write must fail and leave the previous
+// checkpoint file exactly as it was.
+func TestCheckpointWriteFailsWhenShardIsGone(t *testing.T) {
+	dir := t.TempDir()
+	sites := []crawler.Site{{Domain: "alpha.com", Rank: 1}, {Domain: "beta.com", Rank: 2}}
+	sp, err := OpenSpool(filepath.Join(dir, "spool"), 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	o := &orchestrator{
+		cfg: Config{
+			Name: "cp-test", Seed: 1, NumShards: 2, PagesPerSite: 3, Sites: sites,
+			CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		},
+		queue: NewQueue(sites, QueueConfig{}),
+		spool: sp,
+	}
+	if err := sp.Append(rec("alpha.com", "http://alpha.com/")); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.writeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(o.cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := LoadCheckpoint(o.cfg.CheckpointPath); err != nil || len(cp.ShardBytes) != 2 {
+		t.Fatalf("first checkpoint: %+v, %v; want 2 shard extents", cp, err)
+	}
+
+	if err := os.Remove(sp.Paths()[sp.ShardFor("alpha.com")]); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.writeCheckpoint(); err == nil {
+		t.Fatal("checkpoint written although a spool shard could not be stat'ed")
+	}
+	after, err := os.ReadFile(o.cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Errorf("failed write changed the checkpoint:\nbefore: %s\nafter:  %s", before, after)
+	}
+}

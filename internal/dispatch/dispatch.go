@@ -14,14 +14,14 @@
 //     (temp file + rename), so -resume continues an interrupted crawl
 //     without re-visiting completed sites;
 //   - sharded spooling: every crawled page is appended to one of N
-//     JSONL spool files as it arrives, and a streaming merge folds the
-//     shards into an analysis.Dataset without holding all pages in
-//     memory.
+//     JSONL spool files as it arrives, and folded into the dataset
+//     (analysis.Folder) at the same time; a resumed run first streams
+//     its spool back into the fold.
 //
 // Determinism: browsers are built per site (crawler.SiteSeed), so a
 // site's records are a pure function of (seed, site) — independent of
 // worker assignment, retry count, and resume boundaries. Two fault-free
-// runs produce byte-identical merged datasets, and a crawl killed
+// runs produce byte-identical datasets, and a crawl killed
 // mid-run converges, after resume, to exactly the dataset of an
 // uninterrupted run.
 //
@@ -73,10 +73,10 @@ type Config struct {
 	Seed int64
 	// WaitBetweenPages throttles page visits.
 	WaitBetweenPages time.Duration
-	// NewBrowser builds a browser for one site attempt. Seed it with
+	// SiteBrowser builds a browser for one site attempt. Seed it with
 	// crawler.SiteSeed (not the attempt) to keep retries deterministic.
 	// Required.
-	NewBrowser func(site crawler.Site, attempt int) *browser.Browser
+	SiteBrowser func(site crawler.Site, attempt int) *browser.Browser
 	// Recorder converts page loads into spool records. Required.
 	Recorder *analysis.Recorder
 
@@ -104,19 +104,10 @@ type Config struct {
 	// Batch is the spool group-commit policy. The zero value flushes
 	// every record (seed behavior); see BatchPolicy.
 	Batch BatchPolicy
-	// FoldLive folds page records into the dataset in memory as pages
-	// arrive, skipping the decode pass over the spool shards at the
-	// end. The spool is still written (it remains the durable resume
-	// source), and resumed runs always take the shard-merge path, since
-	// pre-existing shard records never pass through a live fold. The
-	// output is identical either way: folding applies the same
-	// aggregation and deduplication as the merge, and finalize imposes
-	// the canonical order.
-	FoldLive bool
 
 	// Store, when set, ingests every spooled page record into the
 	// columnar store as it arrives and derives the final dataset from it
-	// instead of the merge/fold paths. Segments seal at the checkpoint
+	// instead of the in-memory fold. Segments seal at the checkpoint
 	// group-commit boundary (after the spool flush, before the
 	// checkpoint is published), so a checkpoint never marks a site done
 	// whose pages are not in a durable segment. Open the store with
@@ -136,12 +127,12 @@ type Config struct {
 
 // Result is the outcome of an orchestrated crawl.
 type Result struct {
-	// Dataset is the merged measurement output (nil when the run was
-	// cancelled before the merge).
+	// Dataset is the measurement output (nil when the run was
+	// cancelled).
 	Dataset *analysis.Dataset
 	// Stats aggregates the crawler's attempt-level counters.
 	Stats crawler.Stats
-	// Merge describes the shard merge.
+	// Merge describes the fold: distinct pages and skipped duplicates.
 	Merge analysis.MergeStats
 	// Progress is the final queue state.
 	Progress Progress
@@ -151,14 +142,14 @@ type Result struct {
 	ResumedDone int
 }
 
-// Run executes the orchestrated crawl: restore checkpoint (on resume),
-// lease sites to workers, spool pages, checkpoint progress, and merge
-// the spool shards into the final dataset. On cancellation it writes a
-// final checkpoint and returns ctx.Err(); a later Resume run continues
-// where it stopped.
+// Run executes the orchestrated crawl: restore checkpoint and replay
+// the spool into the fold (on resume), lease sites to workers, spool
+// and fold pages, checkpoint progress, and finalize the fold into the
+// dataset. On cancellation it writes a final checkpoint and returns
+// ctx.Err(); a later Resume run continues where it stopped.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.NewBrowser == nil {
-		return nil, fmt.Errorf("dispatch: Config.NewBrowser is required")
+	if cfg.SiteBrowser == nil {
+		return nil, fmt.Errorf("dispatch: Config.SiteBrowser is required")
 	}
 	if cfg.Recorder == nil {
 		return nil, fmt.Errorf("dispatch: Config.Recorder is required")
@@ -212,6 +203,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer spool.Close()
+	o := &orchestrator{cfg: cfg, queue: queue, spool: spool}
+	if cfg.Store == nil {
+		o.folder = analysis.NewFolder(cfg.Meta)
+	}
 	if cp != nil {
 		// The checkpoint promises its Done sites' pages are in the
 		// spool; verify before skipping a single site, or a resumed
@@ -220,11 +215,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err := spool.VerifyMinSizes(cp.ShardBytes); err != nil {
 			return nil, &CheckpointError{Path: cfg.CheckpointPath, Version: cp.Version, Reason: err.Error(), Hint: hintStartFresh}
 		}
-	}
-
-	o := &orchestrator{cfg: cfg, queue: queue, spool: spool}
-	if cfg.FoldLive && !resumed {
-		o.folder = analysis.NewFolder(cfg.Meta)
+		// Earlier runs' pages reach the fold only through the spool
+		// (the store replays its own segments at open). Tail repair at
+		// open already dropped crash remnants, so a torn line inside
+		// the checkpoint's extent is lost durable data: a hard error.
+		if o.folder != nil {
+			if _, err := o.folder.FoldShards(spool.Paths(), analysis.MergeOptions{MinShardBytes: cp.ShardBytes}); err != nil {
+				return nil, fmt.Errorf("dispatch: resume: replay spool: %w", err)
+			}
+		}
 	}
 	stats, crawlErr := crawler.CrawlSource(ctx, o, crawler.Config{
 		Workers:          cfg.Workers,
@@ -250,50 +249,14 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return res, crawlErr
 	}
 
+	// The final writeCheckpoint above flushed the spool and sealed the
+	// store's tail, so the dataset needs no further read of either.
 	if cfg.Store != nil {
-		// The store folded every record at ingest (this run's pages
-		// live, prior runs' via sealed-segment replay at open), so the
-		// dataset comes straight from it; the final writeCheckpoint
-		// above already sealed the tail. The spool stays behind as the
-		// merge oracle's input.
-		if err := spool.Flush(); err != nil {
-			return res, err
-		}
 		res.Dataset, res.Merge = cfg.Store.Finalize()
-		return res, nil
-	}
-
-	if o.folder != nil {
-		// The dataset was folded live; the spool (flushed below for the
-		// deferred Close's benefit) served only as the durable resume
-		// source this run.
-		if err := spool.Flush(); err != nil {
-			return res, err
-		}
+	} else {
 		res.Dataset, res.Merge = o.folder.Finalize()
 		res.Merge.Shards = spool.NumShards()
-		return res, nil
 	}
-
-	// Flush any group-commit tail so the shards are fully readable here
-	// even before the deferred Close. After the flush every appended
-	// byte is durable, so the shard sizes are exactly the extent a
-	// checkpoint would vouch for — merge with them as the floor, turning
-	// any torn tail into the hard error it is at this point (crash
-	// remnants were already repaired at open on a resume).
-	if err := spool.Flush(); err != nil {
-		return res, err
-	}
-	sizes, err := spool.ShardSizes()
-	if err != nil {
-		return res, err
-	}
-	ds, mstats, err := analysis.MergeShardsOpts(cfg.Meta, spool.Paths(), analysis.MergeOptions{MinShardBytes: sizes})
-	if err != nil {
-		return res, err
-	}
-	res.Dataset = ds
-	res.Merge = mstats
 	return res, nil
 }
 
@@ -303,7 +266,7 @@ type orchestrator struct {
 	cfg    Config
 	queue  *Queue
 	spool  *Spooler
-	folder *analysis.Folder // non-nil only on FoldLive fresh runs
+	folder *analysis.Folder // nil when cfg.Store folds instead
 
 	mu          sync.Mutex
 	active      map[string]*Lease
@@ -363,7 +326,7 @@ func (o *orchestrator) browserFor(site crawler.Site) *browser.Browser {
 		attempt = l.Attempt
 	}
 	o.mu.Unlock()
-	return o.cfg.NewBrowser(site, attempt)
+	return o.cfg.SiteBrowser(site, attempt)
 }
 
 // onPage records, spools, and heartbeats one crawled page.
@@ -371,7 +334,7 @@ func (o *orchestrator) onPage(site crawler.Site, pageURL string, res *browser.Pa
 	recordSpan := obs.StartSpan(obs.CrawlRecord)
 	rec, err := o.cfg.Recorder.RecordPage(site, pageURL, res)
 	if err != nil {
-		return // unparseable page: drop, like the collector path
+		return // unparseable page: drop it
 	}
 	recordSpan.End()
 	commitSpan := obs.StartSpan(obs.CrawlCommit)
@@ -455,9 +418,13 @@ func (o *orchestrator) writeCheckpoint() error {
 			return err
 		}
 	}
-	if sizes, err := o.spool.ShardSizes(); err == nil {
-		cp.ShardBytes = sizes
+	// A checkpoint without ShardBytes reads as v1 ("no guard"), so one
+	// published after a failed stat would let resume check nothing.
+	sizes, err := o.spool.ShardSizes()
+	if err != nil {
+		return err
 	}
+	cp.ShardBytes = sizes
 	return cp.WriteAtomic(o.cfg.CheckpointPath)
 }
 

@@ -75,7 +75,7 @@ func (e *testEnv) config(dir string, workers int) Config {
 		Workers:        workers,
 		PagesPerSite:   3,
 		Seed:           testSeed,
-		NewBrowser:     func(site crawler.Site, attempt int) *browser.Browser { return e.goodBrowser(site) },
+		SiteBrowser:    func(site crawler.Site, attempt int) *browser.Browser { return e.goodBrowser(site) },
 		Recorder:       e.recorder(),
 		SpoolDir:       filepath.Join(dir, "spool"),
 		NumShards:      4,
@@ -93,15 +93,35 @@ func datasetBytes(t *testing.T, d *analysis.Dataset) []byte {
 	return buf.Bytes()
 }
 
+// mergedSpool merges the spool shards a run under cfg left behind. The
+// live fold never reads the spool back, so this merge is the oracle a
+// run's dataset must equal byte for byte.
+func mergedSpool(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	paths := make([]string, cfg.NumShards)
+	for i := range paths {
+		paths[i] = filepath.Join(cfg.SpoolDir, shardName(i))
+	}
+	ds, _, err := analysis.MergeShards(cfg.Meta, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return datasetBytes(t, ds)
+}
+
 // TestDeterministicShardsAndDataset: same seed, no faults ⇒ identical
-// spool shard bytes (single worker) and byte-identical merged datasets
-// regardless of worker count.
+// spool shard bytes (single worker) and byte-identical datasets
+// regardless of worker count, each equal to the merge of its own spool.
 func TestDeterministicShardsAndDataset(t *testing.T) {
 	env := newTestEnv(t, 20)
 	run := func(dir string, workers int) *Result {
-		res, err := Run(context.Background(), env.config(dir, workers))
+		cfg := env.config(dir, workers)
+		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(datasetBytes(t, res.Dataset), mergedSpool(t, cfg)) {
+			t.Errorf("%d-worker run: dataset differs from the merge of its own spool", workers)
 		}
 		return res
 	}
@@ -202,10 +222,63 @@ func TestKillAndResumeConvergesToUninterruptedRun(t *testing.T) {
 	if !bytes.Equal(datasetBytes(t, full.Dataset), datasetBytes(t, res2.Dataset)) {
 		t.Error("resumed dataset differs from uninterrupted run")
 	}
+	if !bytes.Equal(datasetBytes(t, res2.Dataset), mergedSpool(t, cfg2)) {
+		t.Error("resumed dataset differs from the merge of its own spool")
+	}
 	t1Full := analysis.Table1(full.Dataset)
 	t1Resumed := analysis.Table1(res2.Dataset)
 	if !reflect.DeepEqual(t1Full, t1Resumed) {
 		t.Errorf("Table 1 differs:\nfull:    %+v\nresumed: %+v", t1Full, t1Resumed)
+	}
+}
+
+// TestResumeReplaysSpoolAtOpen: a resumed run streams its spool into
+// the fold before leasing a single site, so a damaged spool line fails
+// the resume up front instead of after crawling the remaining sites.
+func TestResumeReplaysSpoolAtOpen(t *testing.T) {
+	env := newTestEnv(t, 12)
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var killPages atomic.Int64
+	cfg := env.config(dir, 2)
+	cfg.CheckpointEvery = 1
+	cfg.OnPage = func(crawler.Site, string) {
+		if killPages.Add(1) == 8 {
+			cancel()
+		}
+	}
+	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	corrupted := false
+	for i := 0; i < cfg.NumShards && !corrupted; i++ {
+		shard := filepath.Join(cfg.SpoolDir, shardName(i))
+		data, err := os.ReadFile(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 0 {
+			data[0] = 'X' // a complete, newline-terminated, undecodable line
+			if err := os.WriteFile(shard, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupted = true
+		}
+	}
+	if !corrupted {
+		t.Fatal("interrupted run spooled nothing")
+	}
+
+	cfg2 := env.config(dir, 2)
+	cfg2.Resume = true
+	var pages atomic.Int64
+	cfg2.OnPage = func(crawler.Site, string) { pages.Add(1) }
+	if _, err := Run(context.Background(), cfg2); err == nil {
+		t.Fatal("resume over a corrupt spool line succeeded")
+	}
+	if n := pages.Load(); n != 0 {
+		t.Errorf("resume crawled %d pages before rejecting the spool", n)
 	}
 }
 
@@ -231,7 +304,7 @@ func TestRetryRecoversFlakySite(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := env.config(dir, 2)
-	cfg.NewBrowser = func(site crawler.Site, attempt int) *browser.Browser {
+	cfg.SiteBrowser = func(site crawler.Site, attempt int) *browser.Browser {
 		if site.Domain == flaky && attempt == 1 {
 			return browser.New(browser.Config{
 				Version:    57,
@@ -269,7 +342,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	dir := t.TempDir()
 	cfg := env.config(dir, 2)
 	cfg.Retry.MaxAttempts = 2
-	cfg.NewBrowser = func(site crawler.Site, attempt int) *browser.Browser {
+	cfg.SiteBrowser = func(site crawler.Site, attempt int) *browser.Browser {
 		if site.Domain == dead {
 			return browser.New(browser.Config{
 				Version:    57,
@@ -311,9 +384,9 @@ func TestRunValidatesConfig(t *testing.T) {
 	base := env.config(t.TempDir(), 1)
 
 	missingBrowser := base
-	missingBrowser.NewBrowser = nil
+	missingBrowser.SiteBrowser = nil
 	if _, err := Run(context.Background(), missingBrowser); err == nil {
-		t.Error("missing NewBrowser accepted")
+		t.Error("missing SiteBrowser accepted")
 	}
 	missingRec := base
 	missingRec.Recorder = nil

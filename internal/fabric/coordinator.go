@@ -643,10 +643,14 @@ func (c *Coordinator) writeCheckpoint() error {
 		}
 	}
 	// Record the durable spool extent alongside the progress it vouches
-	// for; resume refuses a spool smaller than this.
-	if sizes, err := c.spool.ShardSizes(); err == nil {
-		cp.ShardBytes = sizes
+	// for; resume refuses a spool smaller than this. A checkpoint
+	// without it would read as "no guard", so a failed stat fails the
+	// write.
+	sizes, err := c.spool.ShardSizes()
+	if err != nil {
+		return err
 	}
+	cp.ShardBytes = sizes
 	return dispatch.WriteAtomic(c.cfg.CheckpointPath, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")

@@ -612,3 +612,34 @@ func TestFabricSoak(t *testing.T) {
 	}
 	checkNoGoroutineLeak(t, base)
 }
+
+// TestCoordinatorCheckpointFailsWhenShardIsGone is the fabric side of
+// the shard-extent guard: when a spool shard cannot be stat'ed, the
+// coordinator's checkpoint write fails instead of publishing a
+// checkpoint without ShardBytes, and the previous file stays intact.
+func TestCoordinatorCheckpointFailsWhenShardIsGone(t *testing.T) {
+	dir := t.TempDir()
+	c := startTestCoordinator(t, dir, testSites(8), coordOpts{})
+	defer c.Close()
+	if err := c.writeCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "checkpoint.json")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(c.spool.Paths()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.writeCheckpoint(); err == nil {
+		t.Fatal("checkpoint written although a spool shard could not be stat'ed")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Errorf("failed write changed the checkpoint:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
